@@ -12,15 +12,21 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use wnrs_geometry::{cmp_f64, dominates_dyn, kernels, Point, Rect};
+use std::ops::ControlFlow;
+use wnrs_geometry::{cmp_f64, kernels, Point, Rect};
 use wnrs_rtree::paged::NodeBuf;
 use wnrs_rtree::persist::PersistError;
 use wnrs_rtree::{ItemId, PagedRTree};
 use wnrs_storage::{PageId, Pager};
 
+/// Reusable state for [`paged_is_reverse_skyline_member`]: the page
+/// traversal's descent stack and node decode buffer.
+pub use wnrs_rtree::paged::PagedWindowScratch as PagedMemberScratch;
+
 /// The culprit set `Λ = window_query(c, q)` through pages, in ascending
 /// id order — the same canonical order as
-/// [`crate::window::window_query`].
+/// [`crate::window::window_query`]. Dominance is tested inside the page
+/// traversal, so only accepted culprits are materialised.
 ///
 /// # Errors
 ///
@@ -32,8 +38,20 @@ pub fn paged_window_query<P: Pager>(
     exclude: Option<ItemId>,
 ) -> Result<Vec<(ItemId, Point)>, PersistError> {
     let rect = Rect::window(c, q);
-    let mut out = tree.window(&rect)?;
-    out.retain(|(id, p)| Some(*id) != exclude && dominates_dyn(p, q, c));
+    // lint:allow(hot_path_alloc) reason=one result buffer per window query, not per entry
+    let mut out = Vec::new();
+    let mut tested = 0u64;
+    let scan = tree.window_try_for_each(&rect, &mut PagedMemberScratch::new(), |id, p| {
+        if Some(id) != exclude {
+            tested += 1;
+            if kernels::dominates_dyn_raw(p, q.coords(), c.coords()) {
+                out.push((id, Point::new(p)));
+            }
+        }
+        ControlFlow::<()>::Continue(())
+    });
+    wnrs_geometry::stats::record_dominance_tests(tested);
+    scan?;
     out.sort_unstable_by_key(|(id, _)| *id);
     Ok(out)
 }
@@ -52,72 +70,26 @@ pub fn paged_is_reverse_skyline_member<P: Pager>(
     exclude: Option<ItemId>,
     scratch: &mut PagedMemberScratch,
 ) -> Result<bool, PersistError> {
-    assert_eq!(c.dim(), tree.dim(), "customer dimensionality mismatch");
-    wnrs_obs::record(wnrs_obs::Counter::WindowQueries);
     let rect = Rect::window(c, q);
-    if tree.is_empty() {
-        return Ok(true);
-    }
-    scratch.stack.clear();
-    scratch.stack.push(tree.root_page());
-    while let Some(page) = scratch.stack.pop() {
-        tree.read_node_into(page, &mut scratch.node)?;
-        // One stats record per node scan: the tally counts exactly the
-        // dominance tests the per-entry path performs (containment-gated,
-        // early-exiting), so `query-stats` totals match the in-memory
-        // membership primitive test for test.
-        let mut tested = 0u64;
-        for i in 0..scratch.node.len() {
-            if scratch.node.is_leaf() {
-                let id = scratch.node.item_id(i);
-                if Some(id) == exclude {
-                    continue;
-                }
-                let lo = scratch.node.lo(i);
-                if rect_contains(&rect, lo) {
-                    tested += 1;
-                    if kernels::dominates_dyn_raw(lo, q.coords(), c.coords()) {
-                        wnrs_geometry::stats::record_dominance_tests(tested);
-                        wnrs_geometry::stats::record_kernel_batch(tested);
-                        return Ok(false);
-                    }
-                }
-            } else if rect_intersects(&rect, scratch.node.lo(i), scratch.node.hi(i)) {
-                scratch.stack.push(scratch.node.child_page(i));
+    // One stats record per call: the tally counts exactly the dominance
+    // tests the per-entry path performs (containment-gated,
+    // early-exiting), so `query-stats` totals match the in-memory
+    // membership primitive test for test.
+    let mut tested = 0u64;
+    let dominated = tree.window_try_for_each(&rect, scratch, |id, p| {
+        if Some(id) != exclude {
+            tested += 1;
+            if kernels::dominates_dyn_raw(p, q.coords(), c.coords()) {
+                return ControlFlow::Break(());
             }
         }
-        if tested > 0 {
-            wnrs_geometry::stats::record_dominance_tests(tested);
-            wnrs_geometry::stats::record_kernel_batch(tested);
-        }
+        ControlFlow::Continue(())
+    });
+    if tested > 0 {
+        wnrs_geometry::stats::record_dominance_tests(tested);
+        wnrs_geometry::stats::record_kernel_batch(tested);
     }
-    Ok(true)
-}
-
-/// Reusable state for [`paged_is_reverse_skyline_member`]: the descent
-/// stack and a node decode buffer.
-#[derive(Debug, Default)]
-pub struct PagedMemberScratch {
-    stack: Vec<PageId>,
-    node: NodeBuf,
-}
-
-impl PagedMemberScratch {
-    /// An empty scratch; buffers grow on first use and are then reused.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// `Rect::contains_point` against a raw coordinate slice.
-fn rect_contains(rect: &Rect, p: &[f64]) -> bool {
-    (0..p.len()).all(|i| rect.lo()[i] <= p[i] && p[i] <= rect.hi()[i])
-}
-
-/// `Rect::intersects` against raw corner slices.
-fn rect_intersects(rect: &Rect, lo: &[f64], hi: &[f64]) -> bool {
-    (0..lo.len()).all(|i| rect.lo()[i] <= hi[i] && lo[i] <= rect.hi()[i])
+    Ok(dominated?.is_none())
 }
 
 #[derive(Debug)]
@@ -394,5 +366,73 @@ mod tests {
             .map(|(id, _)| id.0)
             .collect();
         assert_eq!(got, vec![1, 2, 3, 5, 7]);
+    }
+
+    /// `n` points on a coarse grid that holds both zeros, plus exact
+    /// duplicates of every tenth: ties in every dimension.
+    fn grid_points(n: usize, dim: usize, seed: u64) -> Vec<Point> {
+        const VALUES: [f64; 7] = [-2.0, -1.0, -0.0, 0.0, 1.0, 1.5, 2.0];
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            VALUES[(state >> 33) as usize % VALUES.len()]
+        };
+        let mut pts: Vec<Point> = (0..n)
+            .map(|_| Point::new((0..dim).map(|_| next()).collect::<Vec<_>>()))
+            .collect();
+        for i in (0..n).step_by(10) {
+            pts.push(pts[i].clone());
+        }
+        pts
+    }
+
+    /// Ids and coordinate bits, so `-0.0` and `0.0` stay distinct.
+    fn bits(culprits: &[(ItemId, Point)]) -> Vec<(u32, Vec<u64>)> {
+        culprits
+            .iter()
+            .map(|(id, p)| (id.0, p.coords().iter().map(|c| c.to_bits()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn paged_window_and_membership_match_in_memory_d1_to_d6() {
+        for dim in 1..=6 {
+            let pts = grid_points(300, dim, 40 + dim as u64);
+            let tree = bulk_load(&pts, RTreeConfig::with_max_entries(8));
+            let queries = grid_points(4, dim, 90 + dim as u64);
+            for pool_pages in [1, 4, 64] {
+                let paged = paged_copy(&tree, pool_pages);
+                let mut scratch = PagedMemberScratch::new();
+                for q in &queries {
+                    for (ci, c) in pts.iter().enumerate().step_by(7) {
+                        for exclude in [None, Some(ItemId(ci as u32))] {
+                            let what =
+                                format!("d={dim} pool={pool_pages} q={q:?} c={ci} {exclude:?}");
+                            let tests0 = wnrs_geometry::stats::snapshot().dominance_tests;
+                            let want = window_query(&tree, c, q, exclude);
+                            let tests1 = wnrs_geometry::stats::snapshot().dominance_tests;
+                            let got = paged_window_query(&paged, c, q, exclude).expect("paged");
+                            let tests2 = wnrs_geometry::stats::snapshot().dominance_tests;
+                            assert_eq!(bits(&got), bits(&want), "{what}");
+                            assert_eq!(tests2 - tests1, tests1 - tests0, "{what}: tallies");
+                            assert_eq!(
+                                paged_is_reverse_skyline_member(
+                                    &paged,
+                                    c,
+                                    q,
+                                    exclude,
+                                    &mut scratch
+                                )
+                                .expect("paged"),
+                                is_reverse_skyline_member(&tree, c, q, exclude),
+                                "{what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

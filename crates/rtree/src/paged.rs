@@ -7,30 +7,26 @@
 //! index traffic goes through the buffer manager — and it makes the
 //! logical/physical I/O split measurable: `pool().stats()` reports
 //! hits/misses while queries run with bounded memory.
+//!
+//! Every window-shaped query runs on one traversal,
+//! [`PagedRTree::window_try_for_each`], which decodes each node into a
+//! reused [`NodeBuf`] and hands the visitor raw coordinate slices, so a
+//! query allocates only what its caller keeps.
 
-use crate::config::RTreeConfig;
+use crate::config::{entry_bytes, RTreeConfig, NODE_HEADER_BYTES};
 use crate::node::ItemId;
-use crate::persist::PersistError;
+use crate::persist::{Meta, PersistError, ITEM_TAG};
+use std::ops::ControlFlow;
 use wnrs_geometry::{Point, Rect};
 use wnrs_storage::{BufferPool, Decoder, PageId, Pager};
 
-const MAGIC: u64 = 0x524E_5753_5254_5245; // shared with crate::persist
-const ITEM_TAG: u64 = 1 << 63;
-
-/// One decoded page-resident node.
-struct DecodedNode {
-    level: u32,
-    /// `(tagged child id, lo, hi)` triples.
-    entries: Vec<(u64, Rect)>,
-}
-
 /// A reusable, allocation-free decode target for one node page.
 ///
-/// External traversals (the paged BBS/BBRS drivers) decode nodes into
-/// one of these instead of materialising [`Rect`]s per entry: children
-/// stay as raw tagged ids, coordinates as one flat `lo‖hi` buffer per
-/// entry. Reusing the buffer across [`PagedRTree::read_node_into`] calls
-/// keeps a whole traversal at zero steady-state allocations.
+/// Traversals decode nodes into one of these instead of materialising
+/// [`Rect`]s per entry: children stay as raw tagged ids, coordinates as
+/// one flat `lo‖hi` buffer per entry. Reusing the buffer across
+/// [`PagedRTree::read_node_into`] calls keeps a whole traversal at zero
+/// steady-state allocations.
 #[derive(Debug, Default)]
 pub struct NodeBuf {
     level: u32,
@@ -46,6 +42,36 @@ impl NodeBuf {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Decodes a node page of `dim`-dimensional entries. The entry count
+    /// comes from the page, so it is bounded by what the page holds
+    /// before anything is reserved for it.
+    pub(crate) fn decode(&mut self, bytes: &[u8], dim: usize) -> Result<(), PersistError> {
+        let mut dec = Decoder::new(bytes);
+        let level = dec.get_u32()?;
+        let count = dec.get_u32()?;
+        let entry = entry_bytes(dim);
+        let body = (count as usize)
+            .checked_mul(entry)
+            .and_then(|len| bytes.get(NODE_HEADER_BYTES..NODE_HEADER_BYTES.checked_add(len)?))
+            .ok_or_else(|| {
+                PersistError::Format(format!(
+                    "{count} entries of {entry} bytes overrun a {}-byte node page",
+                    bytes.len()
+                ))
+            })?;
+        self.level = level;
+        self.dim = dim;
+        self.children.clear();
+        self.coords.clear();
+        for e in body.chunks_exact(entry) {
+            let (child, corners) = e.split_at(8);
+            self.children.push(u64::from_le_bytes(word(child)));
+            self.coords
+                .extend(corners.chunks_exact(8).map(|c| f64::from_le_bytes(word(c))));
+        }
+        Ok(())
     }
 
     /// The decoded node's level (0 = leaf).
@@ -105,6 +131,43 @@ impl NodeBuf {
     }
 }
 
+/// An 8-byte chunk as an array (`chunks_exact(8)` guarantees the length).
+#[inline]
+fn word(bytes: &[u8]) -> [u8; 8] {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(bytes);
+    w
+}
+
+/// Reusable state for [`PagedRTree::window_try_for_each`]: the descent
+/// stack and a node decode buffer.
+#[derive(Debug, Default)]
+pub struct PagedWindowScratch {
+    /// Pages still to visit, each with the level its node must have.
+    stack: Vec<(PageId, u32)>,
+    node: NodeBuf,
+}
+
+impl PagedWindowScratch {
+    /// An empty scratch; buffers grow on first use and are then reused.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// `Rect::contains_point` against a raw coordinate slice.
+#[inline]
+fn rect_contains(rect: &Rect, p: &[f64]) -> bool {
+    (0..p.len()).all(|i| rect.lo()[i] <= p[i] && p[i] <= rect.hi()[i])
+}
+
+/// `Rect::intersects` against raw corner slices.
+#[inline]
+fn rect_intersects(rect: &Rect, lo: &[f64], hi: &[f64]) -> bool {
+    (0..lo.len()).all(|i| rect.lo()[i] <= hi[i] && lo[i] <= rect.hi()[i])
+}
+
 /// A read-only R\*-tree whose nodes live in pages behind a buffer pool.
 pub struct PagedRTree<P: Pager> {
     pool: BufferPool<P>,
@@ -119,30 +182,14 @@ impl<P: Pager> PagedRTree<P> {
     /// Opens a tree previously written by [`crate::persist::save`],
     /// reading only the meta page eagerly.
     pub fn open(pool: BufferPool<P>, meta_page: PageId) -> Result<Self, PersistError> {
-        let meta = pool.read(meta_page)?;
-        let mut dec = Decoder::new(meta.bytes());
-        if dec.get_u64()? != MAGIC {
-            return Err(PersistError::Format("bad magic".into()));
-        }
-        let dim = dec.get_u32()? as usize;
-        let height = dec.get_u32()?;
-        let len = dec.get_u64()? as usize;
-        let root_page = PageId(dec.get_u64()?);
-        let config = RTreeConfig {
-            max_entries: dec.get_u32()? as usize,
-            min_entries: dec.get_u32()? as usize,
-            reinsert_count: dec.get_u32()? as usize,
-        };
-        if dim == 0 || !config.is_valid() {
-            return Err(PersistError::Format("corrupt meta page".into()));
-        }
+        let meta = Meta::decode(pool.read(meta_page)?.bytes())?;
         Ok(Self {
             pool,
-            root_page,
-            dim,
-            height,
-            len,
-            config,
+            root_page: meta.root_page,
+            dim: meta.dim,
+            height: meta.height,
+            len: meta.len,
+            config: meta.config,
         })
     }
 
@@ -183,95 +230,91 @@ impl<P: Pager> PagedRTree<P> {
     }
 
     /// Decodes the node at `page` into `buf`, reusing its allocations.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the page read fails or the page is
+    /// malformed (an entry count that overruns the page included).
     pub fn read_node_into(&self, page: PageId, buf: &mut NodeBuf) -> Result<(), PersistError> {
-        let p = self.pool.read(page)?;
-        let mut dec = Decoder::new(p.bytes());
-        buf.level = dec.get_u32()?;
-        buf.dim = self.dim;
-        let count = dec.get_u32()? as usize;
-        buf.children.clear();
-        buf.coords.clear();
-        buf.children.reserve(count);
-        buf.coords.reserve(count * 2 * self.dim);
-        for _ in 0..count {
-            buf.children.push(dec.get_u64()?);
-            for _ in 0..2 * self.dim {
-                buf.coords.push(dec.get_f64()?);
-            }
-        }
-        Ok(())
+        buf.decode(self.pool.read(page)?.bytes(), self.dim)
     }
 
-    fn read_node(&self, page: PageId) -> Result<DecodedNode, PersistError> {
-        let p = self.pool.read(page)?;
-        let mut dec = Decoder::new(p.bytes());
-        let level = dec.get_u32()?;
-        let count = dec.get_u32()? as usize;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let child = dec.get_u64()?;
-            let mut lo = Vec::with_capacity(self.dim);
-            let mut hi = Vec::with_capacity(self.dim);
-            for _ in 0..self.dim {
-                lo.push(dec.get_f64()?);
-            }
-            for _ in 0..self.dim {
-                hi.push(dec.get_f64()?);
-            }
-            entries.push((child, Rect::new(Point::new(lo), Point::new(hi))));
+    /// Calls `f` with the id and coordinates of every item inside
+    /// `window` (boundary inclusive) until `f` breaks, returning the
+    /// break value, or `None` when `f` saw every item. The descent is depth first, children visited in
+    /// reverse entry order, and stops reading pages at the break.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when a page read fails or a page is malformed:
+    /// an entry count that overruns its page, or a node whose level or
+    /// entry kinds do not fit its place in the tree (which also stops a
+    /// cyclic page graph).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `window`'s dimensionality differs from the tree's.
+    pub fn window_try_for_each<B>(
+        &self,
+        window: &Rect,
+        scratch: &mut PagedWindowScratch,
+        mut f: impl FnMut(ItemId, &[f64]) -> ControlFlow<B>,
+    ) -> Result<Option<B>, PersistError> {
+        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
+        wnrs_obs::record(wnrs_obs::Counter::WindowQueries);
+        scratch.stack.clear();
+        if self.is_empty() {
+            return Ok(None);
         }
-        Ok(DecodedNode { level, entries })
+        // `Meta::decode` rejects a zero height.
+        scratch.stack.push((self.root_page, self.height - 1));
+        while let Some((page, level)) = scratch.stack.pop() {
+            self.read_node_into(page, &mut scratch.node)?;
+            let node = &scratch.node;
+            if node.level() != level {
+                return Err(PersistError::Format(format!(
+                    "{page} holds a level-{} node where level {level} belongs",
+                    node.level()
+                )));
+            }
+            for i in 0..node.len() {
+                if node.is_item(i) != node.is_leaf() {
+                    return Err(PersistError::Format(format!(
+                        "{page}: entry {i} is the wrong kind for a level-{level} node"
+                    )));
+                }
+                if node.is_leaf() {
+                    if rect_contains(window, node.lo(i)) {
+                        if let ControlFlow::Break(b) = f(node.item_id(i), node.lo(i)) {
+                            return Ok(Some(b));
+                        }
+                    }
+                } else if rect_intersects(window, node.lo(i), node.hi(i)) {
+                    scratch.stack.push((node.child_page(i), level - 1));
+                }
+            }
+        }
+        Ok(None)
     }
 
     /// All items inside `window` (boundary inclusive), streamed through
     /// the buffer pool.
     pub fn window(&self, window: &Rect) -> Result<Vec<(ItemId, Point)>, PersistError> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        wnrs_obs::record(wnrs_obs::Counter::WindowQueries);
         // lint:allow(hot_path_alloc) reason=one result buffer per window query, not per entry
         let mut out = Vec::new();
-        if self.is_empty() {
-            return Ok(out);
-        }
-        let mut stack = vec![self.root_page];
-        while let Some(page) = stack.pop() {
-            let node = self.read_node(page)?;
-            for (child, rect) in &node.entries {
-                if node.level == 0 {
-                    debug_assert!(child & ITEM_TAG != 0, "leaf entry must be an item");
-                    if window.contains_point(rect.lo()) {
-                        // lint:allow(hot_path_alloc) reason=owned Point per accepted match required by the public API
-                        out.push((ItemId((child & !ITEM_TAG) as u32), rect.lo().clone()));
-                    }
-                } else if window.intersects(rect) {
-                    stack.push(PageId(*child));
-                }
-            }
-        }
+        self.window_try_for_each(window, &mut PagedWindowScratch::new(), |id, p| {
+            out.push((id, Point::new(p)));
+            ControlFlow::<()>::Continue(())
+        })?;
         Ok(out)
     }
 
     /// Whether any item lies inside `window`.
     pub fn window_any(&self, window: &Rect) -> Result<bool, PersistError> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        wnrs_obs::record(wnrs_obs::Counter::WindowQueries);
-        if self.is_empty() {
-            return Ok(false);
-        }
-        let mut stack = vec![self.root_page];
-        while let Some(page) = stack.pop() {
-            let node = self.read_node(page)?;
-            for (child, rect) in &node.entries {
-                if node.level == 0 {
-                    if window.contains_point(rect.lo()) {
-                        return Ok(true);
-                    }
-                } else if window.intersects(rect) {
-                    stack.push(PageId(*child));
-                }
-            }
-        }
-        Ok(false)
+        let found = self.window_try_for_each(window, &mut PagedWindowScratch::new(), |_, _| {
+            ControlFlow::Break(())
+        })?;
+        Ok(found.is_some())
     }
 }
 
@@ -368,5 +411,101 @@ mod tests {
         let id = pager.allocate();
         let pool = BufferPool::new(pager, 8);
         assert!(PagedRTree::open(pool, id).is_err());
+    }
+
+    /// A saved 2-d tree of `n` points: its pager, meta page and root
+    /// page.
+    fn saved(n: usize) -> (Arc<MemPager>, PageId, PageId) {
+        let tree = bulk_load(&pts(n), RTreeConfig::paper_default(2));
+        let pager = Arc::new(MemPager::paper_default());
+        let meta = save(&tree, pager.as_ref()).expect("save");
+        let pool = BufferPool::new(Arc::clone(&pager), 4);
+        let root = PagedRTree::open(pool, meta).expect("open").root_page();
+        (pager, meta, root)
+    }
+
+    /// Overwrites the bytes of `page` at `offset`.
+    fn patch(pager: &MemPager, page: PageId, offset: usize, bytes: &[u8]) {
+        let mut p = pager.read_page(page).expect("read");
+        p.bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
+        pager.write_page(page, &p).expect("write");
+    }
+
+    /// Both readers of a page store, the paged view and
+    /// `persist::load`, reject it with a format error.
+    fn assert_rejected(pager: &Arc<MemPager>, meta: PageId, what: &str) {
+        let everything = Rect::new(Point::xy(-1e9, -1e9), Point::xy(1e9, 1e9));
+        match PagedRTree::open(BufferPool::new(Arc::clone(pager), 4), meta) {
+            Ok(paged) => assert!(
+                matches!(paged.window(&everything), Err(PersistError::Format(_))),
+                "{what}: window"
+            ),
+            Err(e) => assert!(matches!(e, PersistError::Format(_)), "{what}: open: {e}"),
+        }
+        assert!(
+            matches!(
+                crate::persist::load(pager.as_ref(), meta),
+                Err(PersistError::Format(_))
+            ),
+            "{what}: load"
+        );
+    }
+
+    #[test]
+    fn hostile_entry_counts_are_format_errors() {
+        // 38 entries of 40 bytes fill a 1536-byte page.
+        for count in [39, 1 << 20, u32::MAX] {
+            let (pager, meta, root) = saved(2000);
+            patch(&pager, root, 4, &count.to_le_bytes());
+            assert_rejected(&pager, meta, &format!("count {count}"));
+        }
+    }
+
+    #[test]
+    fn oversized_height_is_a_format_error() {
+        let (pager, meta, _) = saved(100);
+        patch(&pager, meta, 12, &u32::MAX.to_le_bytes());
+        assert_rejected(&pager, meta, "height");
+    }
+
+    #[test]
+    fn oversized_dim_is_a_format_error() {
+        // 95 dimensions are the most a 1536-byte page holds one entry of.
+        for dim in [96, u32::MAX] {
+            let (pager, meta, _) = saved(100);
+            patch(&pager, meta, 8, &dim.to_le_bytes());
+            assert_rejected(&pager, meta, &format!("dim {dim}"));
+        }
+    }
+
+    #[test]
+    fn truncated_node_pages_are_format_errors() {
+        let (pager, _, root) = saved(2000);
+        let page = pager.read_page(root).expect("read");
+        let mut node = NodeBuf::new();
+        node.decode(page.bytes(), 2).expect("intact page");
+        let used = NODE_HEADER_BYTES + node.len() * entry_bytes(2);
+        for cut in 0..used {
+            assert!(
+                matches!(
+                    node.decode(&page.bytes()[..cut], 2),
+                    Err(PersistError::Format(_))
+                ),
+                "page cut to {cut} of {used} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn cyclic_page_graph_is_a_format_error() {
+        let (pager, meta, root) = saved(2000);
+        // The root's last entry is descended first: point it at the root.
+        let page = pager.read_page(root).expect("read");
+        let mut node = NodeBuf::new();
+        node.decode(page.bytes(), 2).expect("intact page");
+        assert!(!node.is_leaf(), "2000 points need an inner root");
+        let last = NODE_HEADER_BYTES + (node.len() - 1) * entry_bytes(2);
+        patch(&pager, root, last, &root.0.to_le_bytes());
+        assert_rejected(&pager, meta, "cycle");
     }
 }

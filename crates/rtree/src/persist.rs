@@ -10,7 +10,8 @@
 //!   (clear); child nodes are referenced by their *page* id.
 
 use crate::config::{entry_bytes, RTreeConfig, NODE_HEADER_BYTES};
-use crate::node::{Child, Entry, ItemId, Node, NodeId};
+use crate::node::{Child, Entry, Node, NodeId};
+use crate::paged::NodeBuf;
 use crate::tree::RTree;
 use std::collections::HashMap;
 use std::fmt;
@@ -19,6 +20,7 @@ use wnrs_storage::{Decoder, Encoder, Page, PageId, Pager};
 
 pub(crate) const MAGIC: u64 = 0x524E_5753_5254_5245; // "WNRS RTRE"
 pub(crate) const ITEM_TAG: u64 = 1 << 63;
+const MAX_HEIGHT: u32 = 64;
 
 /// Persistence failure.
 #[derive(Debug)]
@@ -124,86 +126,122 @@ pub fn save<P: Pager>(tree: &RTree, pager: &P) -> Result<PageId, PersistError> {
     Ok(meta_page)
 }
 
+/// The decoded meta page.
+pub(crate) struct Meta {
+    pub(crate) dim: usize,
+    pub(crate) height: u32,
+    pub(crate) len: usize,
+    pub(crate) root_page: PageId,
+    pub(crate) config: RTreeConfig,
+}
+
+impl Meta {
+    /// Decodes and validates a meta page. The dimensionality must leave
+    /// room for at least one entry in a page of the same size, which
+    /// bounds every per-entry buffer a reader sizes from it.
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
+        let mut dec = Decoder::new(bytes);
+        if dec.get_u64()? != MAGIC {
+            return Err(PersistError::Format("bad magic".into()));
+        }
+        let dim = dec.get_u32()? as usize;
+        let height = dec.get_u32()?;
+        let len = dec.get_u64()? as usize;
+        let root_page = PageId(dec.get_u64()?);
+        let config = RTreeConfig {
+            max_entries: dec.get_u32()? as usize,
+            min_entries: dec.get_u32()? as usize,
+            reinsert_count: dec.get_u32()? as usize,
+        };
+        // Inner nodes hold at least two entries and item ids are `u32`,
+        // so a real tree is at most 33 levels high; the cap bounds how
+        // deep a reader descends.
+        if dim == 0 || height == 0 || height > MAX_HEIGHT || !config.is_valid() {
+            return Err(PersistError::Format("corrupt meta page".into()));
+        }
+        // An entry is an 8-byte id plus 16 bytes per dimension.
+        let max_dim = bytes
+            .len()
+            .saturating_sub(NODE_HEADER_BYTES + entry_bytes(0))
+            / 16;
+        if dim > max_dim {
+            return Err(PersistError::Format(format!(
+                "{dim}-d entries do not fit a {}-byte page",
+                bytes.len()
+            )));
+        }
+        Ok(Self {
+            dim,
+            height,
+            len,
+            root_page,
+            config,
+        })
+    }
+}
+
 /// Loads a tree previously written by [`save`].
 pub fn load<P: Pager>(pager: &P, meta_page: PageId) -> Result<RTree, PersistError> {
-    let meta = pager.read_page(meta_page)?;
-    let mut dec = Decoder::new(meta.bytes());
-    if dec.get_u64()? != MAGIC {
-        return Err(PersistError::Format("bad magic".into()));
-    }
-    let dim = dec.get_u32()? as usize;
-    let height = dec.get_u32()?;
-    let len = dec.get_u64()? as usize;
-    let root_page = PageId(dec.get_u64()?);
-    let config = RTreeConfig {
-        max_entries: dec.get_u32()? as usize,
-        min_entries: dec.get_u32()? as usize,
-        reinsert_count: dec.get_u32()? as usize,
-    };
-    if dim == 0 || !config.is_valid() {
-        return Err(PersistError::Format("corrupt meta page".into()));
-    }
-
-    let mut tree = RTree::new(dim, config);
+    let meta = Meta::decode(pager.read_page(meta_page)?.bytes())?;
+    let mut tree = RTree::new(meta.dim, meta.config);
     tree.nodes.clear();
     let mut node_of: HashMap<PageId, NodeId> = HashMap::new();
-    let root = load_node(pager, root_page, dim, &mut tree, &mut node_of)?;
-    tree.set_bulk_state(root, height, len);
-    if tree.node(root).level() + 1 != height {
-        return Err(PersistError::Format(
-            "height does not match root level".into(),
-        ));
-    }
+    let root = load_node(
+        pager,
+        meta.root_page,
+        meta.height - 1,
+        meta.dim,
+        &mut tree,
+        &mut node_of,
+    )?;
+    tree.set_bulk_state(root, meta.height, meta.len);
     Ok(tree)
 }
 
+/// Loads the node at `page_id`, which must sit at `level`: levels fall
+/// by one per step down, so a cyclic page graph ends in an error rather
+/// than unbounded recursion.
 fn load_node<P: Pager>(
     pager: &P,
     page_id: PageId,
+    level: u32,
     dim: usize,
     tree: &mut RTree,
     node_of: &mut HashMap<PageId, NodeId>,
 ) -> Result<NodeId, PersistError> {
-    let page = pager.read_page(page_id)?;
-    let mut dec = Decoder::new(page.bytes());
-    let level = dec.get_u32()?;
-    let count = dec.get_u32()? as usize;
-    let mut entries = Vec::with_capacity(count);
-    // Decode entries first (children loaded after, to keep the borrow
-    // short) — stash raw fields.
-    let mut raw = Vec::with_capacity(count);
-    for _ in 0..count {
-        let child = dec.get_u64()?;
-        let mut lo = Vec::with_capacity(dim);
-        let mut hi = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            lo.push(dec.get_f64()?);
-        }
-        for _ in 0..dim {
-            hi.push(dec.get_f64()?);
-        }
-        raw.push((child, lo, hi));
+    let mut buf = NodeBuf::new();
+    buf.decode(pager.read_page(page_id)?.bytes(), dim)?;
+    if buf.level() != level {
+        return Err(PersistError::Format(format!(
+            "{page_id} holds a level-{} node where level {level} belongs",
+            buf.level()
+        )));
     }
-    for (child, lo, hi) in raw {
-        if child & ITEM_TAG != 0 {
-            if level != 0 {
-                return Err(PersistError::Format("item entry in inner node".into()));
-            }
-            let id = ItemId((child & !ITEM_TAG) as u32);
-            entries.push(Entry::item(id, Point::new(lo)));
+    let mut entries = Vec::with_capacity(buf.len());
+    for i in 0..buf.len() {
+        if buf.is_item(i) != buf.is_leaf() {
+            return Err(PersistError::Format(if buf.is_leaf() {
+                "node entry in leaf".into()
+            } else {
+                "item entry in inner node".into()
+            }));
+        }
+        let lo = finite_point(buf.lo(i))?;
+        if buf.is_leaf() {
+            entries.push(Entry::item(buf.item_id(i), lo));
         } else {
-            if level == 0 {
-                return Err(PersistError::Format("node entry in leaf".into()));
+            let hi = finite_point(buf.hi(i))?;
+            if (0..dim).any(|d| lo[d] > hi[d]) {
+                return Err(PersistError::Format(format!(
+                    "{page_id}: entry {i} has lo above hi"
+                )));
             }
-            let child_page = PageId(child);
+            let child_page = buf.child_page(i);
             let child_node = match node_of.get(&child_page) {
                 Some(&n) => n,
-                None => load_node(pager, child_page, dim, tree, node_of)?,
+                None => load_node(pager, child_page, level - 1, dim, tree, node_of)?,
             };
-            entries.push(Entry::node(
-                Rect::new(Point::new(lo), Point::new(hi)),
-                child_node,
-            ));
+            entries.push(Entry::node(Rect::new(lo, hi), child_node));
         }
     }
     tree.nodes.push(Node::with_entries(level, entries));
@@ -212,10 +250,21 @@ fn load_node<P: Pager>(
     Ok(id)
 }
 
+/// A stored corner as a [`Point`]. `Point::new` panics on a non-finite
+/// coordinate, so one is reported here as a malformed page.
+fn finite_point(coords: &[f64]) -> Result<Point, PersistError> {
+    if coords.iter().all(|c| c.is_finite()) {
+        Ok(Point::new(coords))
+    } else {
+        Err(PersistError::Format("non-finite coordinate".into()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bulk::bulk_load;
+    use crate::node::ItemId;
     use crate::validate::check_structure;
     use wnrs_storage::MemPager;
 

@@ -2,14 +2,18 @@
 //!
 //! The file starts with a 16-byte superblock (magic + page size) so that
 //! reopening validates the geometry. Pages follow contiguously; page `i`
-//! lives at byte offset `16 + i · page_size`.
+//! lives at byte offset `16 + i · page_size`. Page reads and writes are
+//! positional (`pread`/`pwrite` through [`FileExt`]), so they share the
+//! file without a lock or a seek; only allocation, which extends the
+//! file, is serialised. Unix only.
 
 use crate::page::{Page, PageId};
 use crate::pager::{Pager, PagerError};
 use crate::stats::IoStats;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -44,7 +48,10 @@ impl From<std::io::Error> for FilePagerError {
 
 /// A [`Pager`] backed by a file on disk.
 pub struct FilePager {
-    file: Mutex<File>,
+    file: File,
+    /// Serialises allocation: extending the file and publishing the new
+    /// page count happen as one step.
+    grow: Mutex<()>,
     page_size: usize,
     pages: AtomicU64,
     stats: IoStats,
@@ -66,7 +73,8 @@ impl FilePager {
         file.write_all(&superblock)?;
         file.flush()?;
         Ok(Self {
-            file: Mutex::new(file),
+            file,
+            grow: Mutex::new(()),
             page_size,
             pages: AtomicU64::new(0),
             stats: IoStats::new(),
@@ -98,7 +106,8 @@ impl FilePager {
             )));
         }
         Ok(Self {
-            file: Mutex::new(file),
+            file,
+            grow: Mutex::new(()),
             page_size,
             pages: AtomicU64::new(body / page_size as u64),
             stats: IoStats::new(),
@@ -116,21 +125,23 @@ impl Pager for FilePager {
     }
 
     fn page_count(&self) -> u64 {
-        // Relaxed: `pages` is a monotonic counter; cross-thread
-        // visibility of page *contents* comes from the file mutex, not
-        // from this load (atomic policy, DESIGN.md §4).
+        // Relaxed: `pages` is a monotonic counter that publishes no
+        // memory; page contents live in the file, and `allocate` stores
+        // the count only after the new page's bytes are written
+        // (atomic policy, DESIGN.md §4).
         self.pages.load(Ordering::Relaxed)
     }
 
     fn allocate(&self) -> PageId {
-        let mut file = self.file.lock();
-        // Relaxed: allocations are already serialized by the file mutex
-        // held above; the atomic only lets `page_count` read lock-free.
-        let id = PageId(self.pages.fetch_add(1, Ordering::Relaxed));
-        // Extend the file eagerly so reads of fresh pages see zeroes.
+        let _grow = self.grow.lock();
+        // Relaxed: allocations are serialized by the mutex held above;
+        // the atomic only lets `page_count` read lock-free.
+        let id = PageId(self.pages.load(Ordering::Relaxed));
+        // Extend the file eagerly so reads of fresh pages see zeroes,
+        // then publish the page.
         let zero = vec![0u8; self.page_size];
-        let _ = file.seek(SeekFrom::Start(self.offset(id)));
-        let _ = file.write_all(&zero);
+        let _ = self.file.write_all_at(&zero, self.offset(id));
+        self.pages.store(id.0 + 1, Ordering::Relaxed);
         id
     }
 
@@ -138,10 +149,9 @@ impl Pager for FilePager {
         if id.0 >= self.page_count() {
             return Err(PagerError::UnknownPage(id));
         }
-        let mut file = self.file.lock();
         let mut buf = vec![0u8; self.page_size];
-        file.seek(SeekFrom::Start(self.offset(id)))
-            .and_then(|_| file.read_exact(&mut buf))
+        self.file
+            .read_exact_at(&mut buf, self.offset(id))
             .map_err(|_| PagerError::UnknownPage(id))?;
         self.stats.record_physical_read();
         Ok(Page::from_bytes(buf))
@@ -157,9 +167,8 @@ impl Pager for FilePager {
         if id.0 >= self.page_count() {
             return Err(PagerError::UnknownPage(id));
         }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(self.offset(id)))
-            .and_then(|_| file.write_all(page.bytes()))
+        self.file
+            .write_all_at(page.bytes(), self.offset(id))
             .map_err(|_| PagerError::UnknownPage(id))?;
         self.stats.record_physical_write();
         Ok(())
