@@ -11,13 +11,18 @@
 //! descents are the staircase's outer corners (Eqn (5) max-merge) plus
 //! the two single-dimension projections (Eqn (6)). All candidates are
 //! limit points, verified with an ε-nudge.
+//!
+//! [`modify_query_point`] builds `F` directly as the paper writes it,
+//! `DSL(c_t) ∩ Λ` — one BBS over the index plus a dominance filter —
+//! without materialising `Λ`; the `_with_lambda` and `_core` entry
+//! points reduce any `Λ` to the same `F` themselves.
 
 use crate::answer::{finish_candidates, Candidate};
 use crate::verify::limit_verified_query_by;
-use wnrs_geometry::{cmp_f64, CostModel, Point};
-use wnrs_reverse_skyline::{is_reverse_skyline_member, window_query};
+use wnrs_geometry::{cmp_f64, dominates_dyn, CostModel, Point};
+use wnrs_reverse_skyline::is_reverse_skyline_member;
 use wnrs_rtree::{ItemId, RTree};
-use wnrs_skyline::sfs_skyline;
+use wnrs_skyline::{bbs_dynamic_skyline_excluding, sfs_skyline};
 
 /// The result of Algorithm 2.
 #[derive(Debug, Clone)]
@@ -55,6 +60,13 @@ fn untransform(c_t: &Point, q: &Point, t: &Point) -> Point {
 /// Runs Algorithm 2: all minimal candidate locations for `q*`, cheapest
 /// first. `exclude` removes the customer's own tuple from the product
 /// set; `eps` is the verification nudge.
+///
+/// The construction reads only `F = DSL(c_t) ∩ Λ`: the dynamic skyline
+/// of `c_t` (BBS), filtered to the products that dominate `q` w.r.t.
+/// `c_t`. A product dominating a culprit dominates `q` too, so it is a
+/// culprit itself: `F` is exactly the skyline of `Λ` that
+/// [`modify_query_point_with_lambda`] computes, duplicates included,
+/// and the answer is bit-identical.
 pub fn modify_query_point(
     products: &RTree,
     c_t: &Point,
@@ -64,8 +76,9 @@ pub fn modify_query_point(
     eps: f64,
 ) -> MqpAnswer {
     let _span = wnrs_obs::span!("mqp");
-    let lambda = window_query(products, c_t, q, exclude);
-    modify_query_point_with_lambda(products, c_t, q, &lambda, exclude, cost, eps)
+    let mut frontier = bbs_dynamic_skyline_excluding(products, c_t, exclude);
+    frontier.retain(|(_, p)| dominates_dyn(p, q, c_t));
+    modify_query_point_with_lambda(products, c_t, q, &frontier, exclude, cost, eps)
 }
 
 /// As [`modify_query_point`] against a precomputed culprit window

@@ -11,6 +11,14 @@
 //! (Eqn (2) min-merge) plus the two single-dimension end points
 //! (Eqn (3)).
 //!
+//! Only the culprits nearest `q` shape those candidates: a culprit that
+//! another culprit beats in the escape direction has no larger
+//! threshold in any dimension (barring a `±0.0` tie at a zero
+//! coordinate of `q`). [`modify_why_not_point`] therefore reads just
+//! that frontier of `Λ`, found by a window-constrained BBS; the
+//! `_with_lambda` and `_core` entry points take all of `Λ` and give the
+//! same answer.
+//!
 //! Every candidate is a limit point (see [`crate::verify`]); candidates
 //! are verified against the index with an ε-nudge and costed with the
 //! engine's [`CostModel`].
@@ -18,10 +26,11 @@
 use crate::answer::{finish_candidates, Candidate};
 use crate::verify::limit_verified_whynot_by;
 use std::cmp::Ordering;
-use wnrs_geometry::{cmp_f64, CostModel, Point};
+use wnrs_geometry::{cmp_f64, dominates_dyn, CostModel, Point, Rect};
 use wnrs_reverse_skyline::is_reverse_skyline_member;
 use wnrs_reverse_skyline::window_query;
 use wnrs_rtree::{ItemId, RTree};
+use wnrs_skyline::{bbs_directed_skyline_scratch, BbsScratch};
 
 /// The result of Algorithm 1.
 #[derive(Debug, Clone)]
@@ -44,18 +53,13 @@ impl MwpAnswer {
     }
 }
 
-/// Per-blocker escape thresholds in the directed frame: crossing
-/// `threshold[i]` (in direction `sign[i]`) in any dimension `i` stops the
-/// blocker from dominating `q`. `None` marks dimensions that cannot
-/// neutralise this blocker in the chosen direction.
-struct Thresholds {
-    directed: Vec<Option<f64>>,
-}
-
-fn thresholds(e: &Point, q: &Point, sign: &[f64]) -> Thresholds {
-    let d = q.dim();
-    let mut directed = Vec::with_capacity(d);
-    for i in 0..d {
+/// Appends blocker `e`'s `d` escape thresholds in the directed frame to
+/// `out`: crossing `threshold[i]` (in direction `sign[i]`) in any
+/// dimension `i` stops the blocker from dominating `q`. `None` marks
+/// dimensions that cannot neutralise this blocker in the chosen
+/// direction.
+fn push_thresholds(e: &Point, q: &Point, sign: &[f64], out: &mut Vec<Option<f64>>) {
+    for i in 0..q.dim() {
         // Note `signum` maps a 0.0 difference to 1.0, so the tie case
         // must be decided by comparison, not by sign extraction.
         let dir = match cmp_f64(q[i], e[i]) {
@@ -63,19 +67,27 @@ fn thresholds(e: &Point, q: &Point, sign: &[f64]) -> Thresholds {
             Ordering::Less => -1.0,
             Ordering::Equal => {
                 // q and e tie in this dimension: no strict win possible.
-                directed.push(None);
+                out.push(None);
                 continue;
             }
         };
         if dir != sign[i] {
             // Escaping would require moving against the canonical
             // direction.
-            directed.push(None);
+            out.push(None);
         } else {
-            directed.push(Some(sign[i] * 0.5 * (q[i] + e[i])));
+            out.push(Some(sign[i] * 0.5 * (q[i] + e[i])));
         }
     }
-    Thresholds { directed }
+}
+
+/// The canonical escape direction: towards `q` (ties default to +1;
+/// such dimensions rarely admit an escape and the axis analysis handles
+/// them via the `None` thresholds).
+fn escape_sign(c_t: &Point, q: &Point) -> Vec<f64> {
+    (0..c_t.dim())
+        .map(|i| if q[i] >= c_t[i] { 1.0 } else { -1.0 })
+        .collect()
 }
 
 /// Runs Algorithm 1: all minimal candidate locations for `c_t*`,
@@ -84,6 +96,15 @@ fn thresholds(e: &Point, q: &Point, sign: &[f64]) -> Thresholds {
 /// `exclude` removes the customer's own tuple from the product set
 /// (monochromatic setting). The `eps` nudge is used for verification
 /// only; reported candidates are the exact limit points.
+///
+/// The construction reads only the culprits nearest `q`: the skyline
+/// of the culprit window `Λ = window_query(c_t, q)` in the escape
+/// direction, found by a window-constrained BBS
+/// ([`wnrs_skyline::bbs_directed_skyline_scratch`]) without
+/// materialising `Λ`. A culprit that another culprit beats in that
+/// direction has no larger escape threshold in any dimension, so the
+/// answer is bit-identical to [`modify_why_not_point_with_lambda`] over
+/// all of `Λ`.
 pub fn modify_why_not_point(
     products: &RTree,
     c_t: &Point,
@@ -93,8 +114,46 @@ pub fn modify_why_not_point(
     eps: f64,
 ) -> MwpAnswer {
     let _span = wnrs_obs::span!("mwp");
-    let lambda = window_query(products, c_t, q, exclude);
-    modify_why_not_point_with_lambda(products, c_t, q, &lambda, exclude, cost, eps)
+    let frontier = culprit_frontier(products, c_t, q, exclude);
+    modify_why_not_point_with_lambda(products, c_t, q, &frontier, exclude, cost, eps)
+}
+
+/// The culprits Algorithm 1 needs: the skyline of
+/// `Λ = window_query(c_t, q)` in the escape direction, i.e. the culprits
+/// nearest `q` (BBS over `Rect::window(c_t, q)`, accepting exactly the
+/// window query's culprits).
+///
+/// A culprit's directed thresholds `sign_i·(q_i + e_i)/2` grow as `e_i`
+/// moves towards `q`, and a culprit at or past `q_i` has none (`None`,
+/// the strongest value: it blocks the axis escape). So a culprit
+/// dominated in the escape direction has thresholds no larger than its
+/// dominator's, in every dimension: the per-dimension maxima, the `None`
+/// flags and the 2-d staircase of the frontier equal those of `Λ`, and
+/// so does every candidate. The one exception is a zero coordinate of
+/// `q`: then `+0.0` and `−0.0` culprits tie in the skyline's keys but
+/// fall on opposite sides of `q_i` in the thresholds' total order, so
+/// such a question reads all of `Λ`.
+fn culprit_frontier(
+    products: &RTree,
+    c_t: &Point,
+    q: &Point,
+    exclude: Option<ItemId>,
+) -> Vec<(ItemId, Point)> {
+    if q.coords().iter().any(|&v| cmp_f64(v.abs(), 0.0).is_eq()) {
+        return window_query(products, c_t, q, exclude);
+    }
+    let mut scratch = BbsScratch::new();
+    bbs_directed_skyline_scratch(
+        products,
+        &escape_sign(c_t, q),
+        &Rect::window(c_t, q),
+        |id, p| Some(id) != exclude && dominates_dyn(p, q, c_t),
+        &mut scratch,
+    );
+    scratch
+        .points(products)
+        .map(|(id, p)| (id, p.clone()))
+        .collect()
 }
 
 /// As [`modify_why_not_point`] against a precomputed culprit window
@@ -138,17 +197,13 @@ pub fn modify_why_not_point_core(
         };
     }
 
-    // Canonical escape direction: towards q (ties default to +1; such
-    // dimensions rarely admit an escape and the axis analysis handles
-    // them via the None thresholds).
-    let sign: Vec<f64> = (0..d)
-        .map(|i| if q[i] >= c_t[i] { 1.0 } else { -1.0 })
-        .collect();
+    let sign = escape_sign(c_t, q);
 
-    let thr: Vec<Thresholds> = lambda
-        .iter()
-        .map(|(_, e)| thresholds(e, q, &sign))
-        .collect();
+    // One flat buffer of |Λ|·d thresholds, blocker-major.
+    let mut thr: Vec<Option<f64>> = Vec::with_capacity(lambda.len() * d);
+    for (_, e) in lambda {
+        push_thresholds(e, q, &sign, &mut thr);
+    }
 
     let mut raw: Vec<Point> = Vec::new();
 
@@ -159,8 +214,8 @@ pub fn modify_why_not_point_core(
     for (i, s_i) in sign.iter().enumerate() {
         let mut needed = f64::NEG_INFINITY;
         let mut feasible = true;
-        for t in &thr {
-            match t.directed[i] {
+        for t in thr.iter().skip(i).step_by(d) {
+            match *t {
                 Some(v) => needed = needed.max(v),
                 None => {
                     feasible = false;
@@ -183,10 +238,10 @@ pub fn modify_why_not_point_core(
     // matters only when its dim-1 threshold exceeds every threshold seen
     // so far.
     if d == 2 {
-        let mut pts: Vec<(f64, f64)> = Vec::with_capacity(thr.len());
+        let mut pts: Vec<(f64, f64)> = Vec::with_capacity(lambda.len());
         let mut all_finite = true;
-        for t in &thr {
-            match (t.directed[0], t.directed[1]) {
+        for t in thr.chunks_exact(2) {
+            match (t[0], t[1]) {
                 (Some(a), Some(b)) => pts.push((a, b)),
                 _ => {
                     all_finite = false;
@@ -301,6 +356,37 @@ mod tests {
         // 3/2 vs 18.5/2.
         assert!(ans.best().point.approx_eq(&Point::xy(8.0, 30.0), 1e-9));
         assert!((ans.best_cost() - 1.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn signed_zero_culprits_keep_the_whole_window_answer() {
+        // q_0 = +0.0. The culprits at x = −0.0 and x = +0.0 tie on the
+        // frontier's keys, and the first beats the second in y; but only
+        // the +0.0 one blocks every escape along x, which rules out the
+        // staircase. A frontier without it would add the verified corner
+        // (−0.25, 0.75) between the other two culprits.
+        let products = vec![
+            Point::xy(-0.0, 0.5),
+            Point::xy(0.0, 0.0),
+            Point::xy(-0.5, 0.8),
+        ];
+        let tree = bulk_load(&products, RTreeConfig::with_max_entries(4));
+        let c_t = Point::xy(-1.0, -1.0);
+        let q = Point::xy(0.0, 1.0);
+        let lambda = window_query(&tree, &c_t, &q, None);
+        assert_eq!(lambda.len(), 3);
+        let want =
+            modify_why_not_point_with_lambda(&tree, &c_t, &q, &lambda, None, &unit_cost(), 1e-9);
+        let got = modify_why_not_point(&tree, &c_t, &q, None, &unit_cost(), 1e-9);
+        assert_eq!(
+            format!("{:?}", got.candidates),
+            format!("{:?}", want.candidates)
+        );
+        let corner = Point::xy(-0.25, 0.75);
+        assert!(!got
+            .candidates
+            .iter()
+            .any(|c| c.point.approx_eq(&corner, 1e-12)));
     }
 
     #[test]

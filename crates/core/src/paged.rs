@@ -33,7 +33,7 @@ use crate::mwq::{modify_both_parts, MwqAnswer};
 use crate::safe_region::anti_ddr_from_dsl;
 use std::cell::RefCell;
 use wnrs_geometry::parallel::{intersect_all, Parallelism};
-use wnrs_geometry::{CostModel, Point, Rect, Region};
+use wnrs_geometry::{dominates_dyn, CostModel, Point, Rect, Region};
 use wnrs_reverse_skyline::{
     paged_bbrs_reverse_skyline, paged_is_reverse_skyline_member, paged_window_query,
     PagedMemberScratch,
@@ -241,7 +241,10 @@ impl<P: Pager> PagedEngine<P> {
         }
     }
 
-    /// Algorithm 2 (MQP) for customer `c_t`.
+    /// Algorithm 2 (MQP) for customer `c_t`. Like
+    /// [`crate::mqp::modify_query_point`], it reads only
+    /// `F = DSL(c_t) ∩ Λ`: the paged dynamic skyline filtered to the
+    /// culprits, never the whole window.
     ///
     /// # Errors
     ///
@@ -253,10 +256,11 @@ impl<P: Pager> PagedEngine<P> {
         q: &Point,
     ) -> Result<MqpAnswer, PersistError> {
         let _span = wnrs_obs::span!("mqp");
-        let lambda = paged_window_query(&self.tree, c_t, q, exclude)?;
+        let mut frontier = self.dynamic_skyline(c_t, exclude)?;
+        frontier.retain(|(_, p)| dominates_dyn(p, q, c_t));
         let mut scratch = PagedMemberScratch::new();
         let mut io: Option<PersistError> = None;
-        let ans = modify_query_point_core(c_t, q, &lambda, &self.cost, self.eps, &mut |c, at| {
+        let ans = modify_query_point_core(c_t, q, &frontier, &self.cost, self.eps, &mut |c, at| {
             if io.is_some() {
                 return false;
             }

@@ -94,7 +94,8 @@ pub fn paged_is_reverse_skyline_member<P: Pager>(
 
 #[derive(Debug)]
 enum Payload {
-    Node(PageId, Rect),
+    /// A node page, its MBR and the level its node must have.
+    Node(PageId, Rect, u32),
     Item(ItemId, Point),
 }
 
@@ -128,7 +129,9 @@ impl Ord for BfElem {
 ///
 /// # Errors
 ///
-/// Returns an error when a page read or decode fails.
+/// Returns an error when a page read or decode fails, or a node does
+/// not sit at the level its parent implies (a cyclic page graph
+/// included): [`PagedRTree::read_node_at`].
 ///
 /// # Panics
 ///
@@ -152,11 +155,12 @@ pub fn paged_global_skyline<P: Pager>(
     // The root pops first against an empty skyline — expanding it up
     // front replays the reference traversal from the second pop onward.
     let expand = |page: PageId,
+                  level: u32,
                   node: &mut NodeBuf,
                   heap: &mut BinaryHeap<BfElem>,
                   seq: &mut u64|
      -> Result<(), PersistError> {
-        tree.read_node_into(page, node)?;
+        tree.read_node_at(page, level, node)?;
         for i in 0..node.len() {
             let rect = Rect::new(
                 // lint:allow(hot_path_alloc) reason=heap payloads must own their corners; entries outlive the decode buffer
@@ -171,7 +175,7 @@ pub fn paged_global_skyline<P: Pager>(
                 Payload::Item(node.item_id(i), Point::new(node.lo(i).to_vec()))
             } else {
                 // lint:allow(hot_path_alloc) reason=moves the rect computed above into the heap payload
-                Payload::Node(node.child_page(i), rect.clone())
+                Payload::Node(node.child_page(i), rect.clone(), level - 1)
             };
             heap.push(BfElem {
                 key,
@@ -181,12 +185,18 @@ pub fn paged_global_skyline<P: Pager>(
         }
         Ok(())
     };
-    expand(tree.root_page(), &mut node, &mut heap, &mut seq)?;
+    expand(
+        tree.root_page(),
+        tree.root_level(),
+        &mut node,
+        &mut heap,
+        &mut seq,
+    )?;
     while let Some(elem) = heap.pop() {
         match elem.payload {
-            Payload::Node(page, rect) => {
+            Payload::Node(page, rect, level) => {
                 if !found.iter().any(|s| globally_dominates_rect(s, &rect, q)) {
-                    expand(page, &mut node, &mut heap, &mut seq)?;
+                    expand(page, level, &mut node, &mut heap, &mut seq)?;
                 }
             }
             Payload::Item(id, point) => {

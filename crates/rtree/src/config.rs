@@ -3,9 +3,10 @@
 use wnrs_storage::PAPER_PAGE_SIZE;
 
 /// Serialized node header: level (u32) + entry count (u32).
-pub(crate) const NODE_HEADER_BYTES: usize = 8;
+pub const NODE_HEADER_BYTES: usize = 8;
 /// Serialized entry: child/item id (u64) + 2·d coordinates (f64 each).
-pub(crate) fn entry_bytes(dim: usize) -> usize {
+#[must_use]
+pub fn entry_bytes(dim: usize) -> usize {
     8 + 16 * dim
 }
 

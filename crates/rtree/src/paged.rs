@@ -74,6 +74,26 @@ impl NodeBuf {
         Ok(())
     }
 
+    /// Checks that the node decoded from `page` fits where a
+    /// level-`level` node belongs: its level is `level` and every entry
+    /// is the kind that level holds (items in leaves, child pages
+    /// above). Levels fall by one per step down, so a traversal that
+    /// checks every node cannot follow a cyclic page graph forever.
+    pub(crate) fn check_place(&self, page: PageId, level: u32) -> Result<(), PersistError> {
+        if self.level != level {
+            return Err(PersistError::Format(format!(
+                "{page} holds a level-{} node where level {level} belongs",
+                self.level
+            )));
+        }
+        if let Some(i) = (0..self.len()).find(|&i| self.is_item(i) != self.is_leaf()) {
+            return Err(PersistError::Format(format!(
+                "{page}: entry {i} is the wrong kind for a level-{level} node"
+            )));
+        }
+        Ok(())
+    }
+
     /// The decoded node's level (0 = leaf).
     #[inline]
     pub fn level(&self) -> u32 {
@@ -239,6 +259,35 @@ impl<P: Pager> PagedRTree<P> {
         buf.decode(self.pool.read(page)?.bytes(), self.dim)
     }
 
+    /// The level of the root node; a child of a level-`l` node sits at
+    /// level `l − 1`, and leaves at level 0.
+    #[must_use]
+    pub fn root_level(&self) -> u32 {
+        // `Meta::decode` rejects a zero height.
+        self.height - 1
+    }
+
+    /// As [`PagedRTree::read_node_into`] for a node reached where a
+    /// level-`level` node belongs. Every traversal descends through
+    /// this, so a page graph that does not fall one level per step (a
+    /// cycle included) stops with an error instead of looping.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the page read fails, the page is
+    /// malformed, the node's level is not `level`, or an entry is the
+    /// wrong kind for that level (a child page in a leaf, an item in an
+    /// inner node).
+    pub fn read_node_at(
+        &self,
+        page: PageId,
+        level: u32,
+        buf: &mut NodeBuf,
+    ) -> Result<(), PersistError> {
+        self.read_node_into(page, buf)?;
+        buf.check_place(page, level)
+    }
+
     /// Calls `f` with the id and coordinates of every item inside
     /// `window` (boundary inclusive) until `f` breaks, returning the
     /// break value, or `None` when `f` saw every item. The descent is depth first, children visited in
@@ -266,23 +315,11 @@ impl<P: Pager> PagedRTree<P> {
         if self.is_empty() {
             return Ok(None);
         }
-        // `Meta::decode` rejects a zero height.
-        scratch.stack.push((self.root_page, self.height - 1));
+        scratch.stack.push((self.root_page, self.root_level()));
         while let Some((page, level)) = scratch.stack.pop() {
-            self.read_node_into(page, &mut scratch.node)?;
+            self.read_node_at(page, level, &mut scratch.node)?;
             let node = &scratch.node;
-            if node.level() != level {
-                return Err(PersistError::Format(format!(
-                    "{page} holds a level-{} node where level {level} belongs",
-                    node.level()
-                )));
-            }
             for i in 0..node.len() {
-                if node.is_item(i) != node.is_leaf() {
-                    return Err(PersistError::Format(format!(
-                        "{page}: entry {i} is the wrong kind for a level-{level} node"
-                    )));
-                }
                 if node.is_leaf() {
                     if rect_contains(window, node.lo(i)) {
                         if let ControlFlow::Break(b) = f(node.item_id(i), node.lo(i)) {
@@ -494,6 +531,25 @@ mod tests {
                 "page cut to {cut} of {used} bytes"
             );
         }
+    }
+
+    #[test]
+    fn wrong_kind_entry_is_a_format_error() {
+        let (pager, meta, root) = saved(2000);
+        // Retag the root's last entry as an item: an item in an inner node.
+        let page = pager.read_page(root).expect("read");
+        let mut node = NodeBuf::new();
+        node.decode(page.bytes(), 2).expect("intact page");
+        assert!(!node.is_leaf(), "2000 points need an inner root");
+        let last = NODE_HEADER_BYTES + (node.len() - 1) * entry_bytes(2);
+        patch(&pager, root, last, &(ITEM_TAG | 5).to_le_bytes());
+        assert_rejected(&pager, meta, "item in an inner node");
+        let paged = PagedRTree::open(BufferPool::new(pager, 4), meta).expect("open");
+        let mut buf = NodeBuf::new();
+        assert!(matches!(
+            paged.read_node_at(root, paged.root_level(), &mut buf),
+            Err(PersistError::Format(_))
+        ));
     }
 
     #[test]

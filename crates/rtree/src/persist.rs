@@ -211,21 +211,9 @@ fn load_node<P: Pager>(
 ) -> Result<NodeId, PersistError> {
     let mut buf = NodeBuf::new();
     buf.decode(pager.read_page(page_id)?.bytes(), dim)?;
-    if buf.level() != level {
-        return Err(PersistError::Format(format!(
-            "{page_id} holds a level-{} node where level {level} belongs",
-            buf.level()
-        )));
-    }
+    buf.check_place(page_id, level)?;
     let mut entries = Vec::with_capacity(buf.len());
     for i in 0..buf.len() {
-        if buf.is_item(i) != buf.is_leaf() {
-            return Err(PersistError::Format(if buf.is_leaf() {
-                "node entry in leaf".into()
-            } else {
-                "item entry in inner node".into()
-            }));
-        }
         let lo = finite_point(buf.lo(i))?;
         if buf.is_leaf() {
             entries.push(Entry::item(buf.item_id(i), lo));

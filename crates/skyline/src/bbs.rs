@@ -1,6 +1,7 @@
 //! Branch-and-bound skyline over the R\*-tree (Papadias et al.,
-//! SIGMOD'03), in the static space and in the absolute-distance space
-//! centred at a query point (dynamic skyline).
+//! SIGMOD'03), in the static space, in the absolute-distance space
+//! centred at a query point (dynamic skyline), and in a directed frame
+//! restricted to a window (the culprit window's frontier).
 //!
 //! BBS pops R-tree entries from a min-heap keyed by `MINDIST` (the
 //! coordinate sum of the rectangle's lower corner); an entry whose lower
@@ -107,11 +108,9 @@ pub fn bbs_dynamic_skyline_excluding(
     let mut scratch = BbsScratch::new();
     bbs_dynamic_skyline_scratch(tree, q.coords(), exclude, &mut scratch);
     scratch
-        .ids
-        .iter()
-        .zip(scratch.locs.iter())
+        .points(tree)
         // lint:allow(hot_path_alloc) reason=compat wrapper materialises one owned point per result
-        .map(|(&id, &(nid, idx))| (id, tree.node(nid).entries()[idx as usize].point().clone()))
+        .map(|(id, p)| (id, p.clone()))
         .collect()
 }
 
@@ -161,9 +160,10 @@ impl Ord for ScratchElem {
     }
 }
 
-/// Reusable state for [`bbs_dynamic_skyline_scratch`]: the best-first
-/// heap, the flat transformed-space skyline arena, the accepted item
-/// ids/locations, and a transform buffer.
+/// Reusable state for [`bbs_dynamic_skyline_scratch`] and
+/// [`bbs_directed_skyline_scratch`]: the best-first heap, the flat
+/// transformed-space skyline arena, the accepted item ids/locations,
+/// and a transform buffer.
 ///
 /// One scratch serves any number of sequential queries; after a warm-up
 /// query has grown the buffers, further queries perform **zero** heap
@@ -217,6 +217,16 @@ impl BbsScratch {
     #[must_use]
     pub fn ids(&self) -> &[ItemId] {
         &self.ids
+    }
+
+    /// The accepted items of the last query, in discovery order, with
+    /// their original coordinates borrowed from `tree` — the tree the
+    /// query ran on.
+    pub fn points<'a>(&'a self, tree: &'a RTree) -> impl Iterator<Item = (ItemId, &'a Point)> + 'a {
+        self.ids
+            .iter()
+            .zip(self.locs.iter())
+            .map(|(&id, &(nid, idx))| (id, tree.node(nid).entries()[idx as usize].point()))
     }
 
     fn reset(&mut self, dim: usize) {
@@ -287,7 +297,145 @@ pub fn bbs_dynamic_skyline_scratch(
 ) {
     assert_eq!(q.len(), tree.dim(), "query dimensionality mismatch");
     let _span = wnrs_obs::span!("bbs_dsl");
-    scratch.reset(q.len());
+    bbs_in_frame(tree, &mut DynamicFrame { q, exclude }, scratch);
+}
+
+/// The skyline, under the per-dimension preferences `toward`, of the
+/// indexed points inside `bound` that `accept` keeps: where `toward[i]`
+/// is positive a larger coordinate is better, elsewhere a smaller one.
+/// Results land in `scratch` as with [`bbs_dynamic_skyline_scratch`]:
+/// [`BbsScratch::ids`] and [`BbsScratch::points`] in discovery order,
+/// [`BbsScratch::dsl_t`] holding each point's keys `∓x_i`.
+///
+/// This is the window-constrained dynamic skyline w.r.t. an origin `o`
+/// at a corner of `bound`, with `toward` pointing from the bound's
+/// centre to `o`: on that side of `o`, `|x_i − o_i| = toward_i·(o_i −
+/// x_i)`, and dominance is shift-invariant, so comparing the exact keys
+/// `−toward_i·x_i` decides what comparing distances to `o` would. The
+/// keys involve no subtraction, so no rounding can merge two distinct
+/// coordinates into one distance, and a point slightly past `o` (a
+/// padded window reaches beyond its corner) still ranks as closest.
+///
+/// `accept` filters items at leaf level, before they can prune
+/// anything: a rejected item never enters the skyline. Subtrees
+/// disjoint from `bound` are skipped, and subtrees whose best corner is
+/// dominated by a found point are pruned. Every item left out is
+/// dominated by an item kept. After a warm-up query the steady state
+/// performs zero heap allocations.
+///
+/// # Panics
+///
+/// Panics when `toward` or `bound` differs from the tree in
+/// dimensionality.
+pub fn bbs_directed_skyline_scratch(
+    tree: &RTree,
+    toward: &[f64],
+    bound: &Rect,
+    accept: impl FnMut(ItemId, &Point) -> bool,
+    scratch: &mut BbsScratch,
+) {
+    assert_eq!(
+        toward.len(),
+        tree.dim(),
+        "direction dimensionality mismatch"
+    );
+    assert_eq!(bound.dim(), tree.dim(), "bound dimensionality mismatch");
+    let _span = wnrs_obs::span!("bbs_directed");
+    let mut frame = DirectedFrame {
+        toward,
+        bound,
+        accept,
+    };
+    bbs_in_frame(tree, &mut frame, scratch);
+}
+
+/// The space a BBS traversal takes its skyline in: how an entry maps to
+/// a heap key plus the coordinates dominance compares, and which
+/// entries it skips outright.
+trait Frame {
+    /// Writes the best coordinates any point under `rect` can reach
+    /// into `out` and returns the subtree's heap key, or `None` to skip
+    /// the subtree.
+    fn node(&mut self, rect: &Rect, out: &mut Vec<f64>) -> Option<f64>;
+
+    /// Writes item `id`'s coordinates into `out` and returns its heap
+    /// key, or `None` to skip the item. `rect` is its degenerate entry
+    /// rectangle.
+    fn item(&mut self, id: ItemId, rect: &Rect, p: &Point, out: &mut Vec<f64>) -> Option<f64>;
+}
+
+/// The absolute-distance space centred at `q` (dynamic skyline).
+struct DynamicFrame<'a> {
+    q: &'a [f64],
+    exclude: Option<ItemId>,
+}
+
+impl Frame for DynamicFrame<'_> {
+    fn node(&mut self, rect: &Rect, out: &mut Vec<f64>) -> Option<f64> {
+        let key = rect.min_l1_coords(self.q);
+        transformed_lo_into(rect, self.q, out);
+        Some(key)
+    }
+
+    fn item(&mut self, id: ItemId, rect: &Rect, p: &Point, out: &mut Vec<f64>) -> Option<f64> {
+        let key = rect.min_l1_coords(self.q);
+        if Some(id) == self.exclude {
+            return None;
+        }
+        abs_diff_into(p.coords(), self.q, out);
+        Some(key)
+    }
+}
+
+/// The keys `−toward_i·x_i` of [`bbs_directed_skyline_scratch`],
+/// restricted to `bound` and to the items `accept` keeps.
+struct DirectedFrame<'a, A> {
+    toward: &'a [f64],
+    bound: &'a Rect,
+    accept: A,
+}
+
+impl<A: FnMut(ItemId, &Point) -> bool> DirectedFrame<'_, A> {
+    /// Writes the keys of `best` (the rectangle's best corner) into
+    /// `out`: exact negation where a larger coordinate is preferred.
+    fn keys_into(&self, best: impl Iterator<Item = f64>, out: &mut Vec<f64>) -> f64 {
+        out.clear();
+        out.extend(
+            best.zip(self.toward)
+                .map(|(x, &t)| if t > 0.0 { -x } else { x }),
+        );
+        out.iter().sum()
+    }
+}
+
+impl<A: FnMut(ItemId, &Point) -> bool> Frame for DirectedFrame<'_, A> {
+    fn node(&mut self, rect: &Rect, out: &mut Vec<f64>) -> Option<f64> {
+        if !self.bound.intersects(rect) {
+            return None;
+        }
+        let best = (0..rect.dim()).map(|i| {
+            if self.toward[i] > 0.0 {
+                rect.hi()[i]
+            } else {
+                rect.lo()[i]
+            }
+        });
+        Some(self.keys_into(best, out))
+    }
+
+    fn item(&mut self, id: ItemId, _rect: &Rect, p: &Point, out: &mut Vec<f64>) -> Option<f64> {
+        if !self.bound.contains_point(p) || !(self.accept)(id, p) {
+            return None;
+        }
+        Some(self.keys_into(p.coords().iter().copied(), out))
+    }
+}
+
+/// The BBS traversal shared by every frame: best-first by heap key,
+/// FIFO on ties, pruning at push time and re-checking at pop time
+/// against the flat skyline arena.
+fn bbs_in_frame(tree: &RTree, frame: &mut impl Frame, scratch: &mut BbsScratch) {
+    scratch.reset(tree.dim());
     if tree.is_empty() {
         return;
     }
@@ -309,10 +457,11 @@ pub fn bbs_dynamic_skyline_scratch(
                 let node = tree.node(nid);
                 tree.record_visit();
                 for (idx, e) in node.entries().iter().enumerate() {
-                    let key = e.rect().min_l1_coords(q);
                     match e.child() {
                         Child::Node(child) => {
-                            transformed_lo_into(e.rect(), q, &mut scratch.tbuf);
+                            let Some(key) = frame.node(e.rect(), &mut scratch.tbuf) else {
+                                continue;
+                            };
                             if any_dominates(&scratch.sky_t, scratch.dim, &scratch.tbuf) {
                                 continue;
                             }
@@ -320,10 +469,10 @@ pub fn bbs_dynamic_skyline_scratch(
                             scratch.push(key, Slot::Node(child, t_off));
                         }
                         Child::Item(id) => {
-                            if Some(id) == exclude {
+                            let Some(key) = frame.item(id, e.rect(), e.point(), &mut scratch.tbuf)
+                            else {
                                 continue;
-                            }
-                            abs_diff_into(e.point().coords(), q, &mut scratch.tbuf);
+                            };
                             if any_dominates(&scratch.sky_t, scratch.dim, &scratch.tbuf) {
                                 continue;
                             }
@@ -447,6 +596,118 @@ mod tests {
                     "query {qi} item {i}"
                 );
             }
+        }
+    }
+
+    /// An item filter of the directed-skyline tests.
+    type Accept<'a> = &'a dyn Fn(ItemId, &Point) -> bool;
+
+    /// A tie-heavy grid with duplicates and both zeros.
+    fn grid_points(n: usize, dim: usize, seed: u64) -> Vec<Point> {
+        const VALUES: [f64; 7] = [-2.0, -1.0, -0.0, 0.0, 1.0, 1.5, 2.0];
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            VALUES[(state >> 33) as usize % VALUES.len()]
+        };
+        let mut pts: Vec<Point> = (0..n)
+            .map(|_| Point::new((0..dim).map(|_| next()).collect::<Vec<_>>()))
+            .collect();
+        for i in (0..n).step_by(9) {
+            pts.push(pts[i].clone());
+        }
+        pts
+    }
+
+    /// The directed skyline by definition: every filtered point no other
+    /// filtered point dominates on the keys `∓x_i`.
+    fn directed_bruteforce(
+        pts: &[Point],
+        toward: &[f64],
+        bound: &Rect,
+        accept: impl Fn(ItemId, &Point) -> bool,
+    ) -> Vec<u32> {
+        let keys = |p: &Point| -> Vec<f64> {
+            p.coords()
+                .iter()
+                .zip(toward)
+                .map(|(&x, &t)| if t > 0.0 { -x } else { x })
+                .collect()
+        };
+        let kept: Vec<(u32, Vec<f64>)> = pts
+            .iter()
+            .enumerate()
+            .filter(|(i, p)| bound.contains_point(p) && accept(ItemId(*i as u32), p))
+            .map(|(i, p)| (i as u32, keys(p)))
+            .collect();
+        let mut out: Vec<u32> = kept
+            .iter()
+            .filter(|(_, k)| !kept.iter().any(|(_, o)| kernels::dominates_scalar(o, k)))
+            .map(|(i, _)| *i)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn directed_skyline_matches_bruteforce_d1_to_d6() {
+        let mut scratch = BbsScratch::new();
+        for dim in 1..=6 {
+            let pts = grid_points(300, dim, 40 + dim as u64);
+            let tree = bulk_load(&pts, RTreeConfig::with_max_entries(6));
+            for (qi, c) in pts.iter().enumerate().step_by(23) {
+                let q = &pts[(qi * 7 + 3) % pts.len()];
+                let bound = Rect::window(c, q);
+                let toward: Vec<f64> = (0..dim)
+                    .map(|i| if q[i] >= c[i] { 1.0 } else { -1.0 })
+                    .collect();
+                let everything =
+                    Rect::new(Point::new(vec![-10.0; dim]), Point::new(vec![10.0; dim]));
+                let odd = |id: ItemId, _: &Point| id.0 % 2 == 1;
+                let culprit = |_: ItemId, p: &Point| wnrs_geometry::dominates_dyn(p, q, c);
+                let cases: [(&Rect, Accept); 3] = [
+                    (&bound, &culprit),
+                    (&bound, &odd),
+                    (&everything, &|_, _| true),
+                ];
+                for (ci, (rect, accept)) in cases.iter().enumerate() {
+                    bbs_directed_skyline_scratch(&tree, &toward, rect, accept, &mut scratch);
+                    let mut got: Vec<u32> = scratch.ids().iter().map(|id| id.0).collect();
+                    got.sort_unstable();
+                    let want = directed_bruteforce(&pts, &toward, rect, accept);
+                    assert_eq!(got, want, "d={dim} c#{qi} case {ci}");
+                    for (i, (id, p)) in scratch.points(&tree).enumerate() {
+                        assert!(p.same_location(&pts[id.0 as usize]), "d={dim} item {i}");
+                        let keys = scratch.dsl_t().get(i);
+                        for (k, (&x, &t)) in p.coords().iter().zip(&toward).enumerate() {
+                            let want = if t > 0.0 { -x } else { x };
+                            assert_eq!(keys.coords()[k].to_bits(), want.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn directed_skyline_prunes_outside_the_bound() {
+        let pts = pseudo_points(5000, 42, 2);
+        let tree = bulk_load(&pts, RTreeConfig::paper_default(2));
+        let mut scratch = BbsScratch::new();
+        let bound = Rect::new(Point::xy(40.0, 40.0), Point::xy(45.0, 45.0));
+        tree.reset_visits();
+        bbs_directed_skyline_scratch(&tree, &[1.0, -1.0], &bound, |_, _| true, &mut scratch);
+        assert!(
+            (tree.node_visits() as usize) < tree.node_count() / 4,
+            "visited {} of {} nodes",
+            tree.node_visits(),
+            tree.node_count()
+        );
+        assert!(!scratch.is_empty());
+        for (_, p) in scratch.points(&tree) {
+            assert!(bound.contains_point(p));
         }
     }
 

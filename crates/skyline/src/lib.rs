@@ -5,8 +5,9 @@
 //! * [`bnl`] — block-nested-loop skyline (Börzsönyi et al., ICDE'01);
 //! * [`sfs`] — sort-filter-skyline (presorting by a monotone score);
 //! * [`bbs`] — branch-and-bound skyline over the R\*-tree (Papadias et
-//!   al., SIGMOD'03), in both the static space and the
-//!   absolute-distance-transformed space (dynamic skyline);
+//!   al., SIGMOD'03), in the static space, the
+//!   absolute-distance-transformed space (dynamic skyline) and a
+//!   window-constrained directed frame (the culprit window's frontier);
 //! * [`dynamic`] — dynamic skylines (Definition 2 of the paper);
 //! * [`ddr`] — decomposition of the dynamic anti-dominance region
 //!   `anti-DDR(c)` into origin-anchored boxes (the rectangles of the
@@ -32,8 +33,8 @@ pub use approx::{
     approx_anti_ddr, approx_anti_ddr_flat, approx_dsl_sample_into, sample_dsl, ApproxDslScratch,
 };
 pub use bbs::{
-    bbs_dynamic_skyline, bbs_dynamic_skyline_excluding, bbs_dynamic_skyline_scratch, bbs_skyline,
-    transformed_lo, BbsScratch,
+    bbs_directed_skyline_scratch, bbs_dynamic_skyline, bbs_dynamic_skyline_excluding,
+    bbs_dynamic_skyline_scratch, bbs_skyline, transformed_lo, BbsScratch,
 };
 pub use bnl::bnl_skyline;
 pub use dc::dc_skyline;

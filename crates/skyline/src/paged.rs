@@ -32,8 +32,9 @@ const ROOT_SENTINEL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 enum Slot {
-    /// Node page to maybe-expand + its transformed-lower-bound offset.
-    Node(PageId, u32),
+    /// Node page to maybe-expand, its transformed-lower-bound offset and
+    /// the level its node must have.
+    Node(PageId, u32, u32),
     /// Leaf item: id, transformed-bound offset, original-coords offset.
     Item(ItemId, u32, u32),
 }
@@ -184,7 +185,9 @@ fn transformed_lo_slices(lo: &[f64], hi: &[f64], q: &[f64], out: &mut Vec<f64>) 
 ///
 /// # Errors
 ///
-/// Returns an error when a page read or decode fails.
+/// Returns an error when a page read or decode fails, or a node does
+/// not sit at the level its parent implies (a cyclic page graph
+/// included): [`PagedRTree::read_node_at`].
 ///
 /// # Panics
 ///
@@ -201,10 +204,13 @@ pub fn paged_bbs_dynamic_skyline<P: Pager>(
     if tree.is_empty() {
         return Ok(());
     }
-    scratch.push(0.0, Slot::Node(tree.root_page(), ROOT_SENTINEL));
+    scratch.push(
+        0.0,
+        Slot::Node(tree.root_page(), ROOT_SENTINEL, tree.root_level()),
+    );
     while let Some(elem) = scratch.heap.pop() {
         match elem.slot {
-            Slot::Node(page, off) => {
+            Slot::Node(page, off, level) => {
                 if off != ROOT_SENTINEL {
                     let at = off as usize;
                     let t = &scratch.tarena[at..at + scratch.dim];
@@ -215,7 +221,7 @@ pub fn paged_bbs_dynamic_skyline<P: Pager>(
                 // Decode into a detached buffer so pushes can borrow the
                 // scratch mutably; swapped back afterwards for reuse.
                 let mut node = std::mem::take(&mut scratch.node);
-                tree.read_node_into(page, &mut node)?;
+                tree.read_node_at(page, level, &mut node)?;
                 for i in 0..node.len() {
                     let (lo, hi) = (node.lo(i), node.hi(i));
                     let key = min_l1_slices(lo, hi, q);
@@ -237,7 +243,7 @@ pub fn paged_bbs_dynamic_skyline<P: Pager>(
                             continue;
                         }
                         let t_off = scratch.stash_tbuf();
-                        scratch.push(key, Slot::Node(node.child_page(i), t_off));
+                        scratch.push(key, Slot::Node(node.child_page(i), t_off, level - 1));
                     }
                 }
                 scratch.node = node;
